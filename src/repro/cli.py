@@ -532,10 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip output verification")
     p_run.set_defaults(fn=_cmd_run)
 
-    def add_engine_flags(p, quick_help):
+    def add_engine_flags(p, quick_help, jobs=1):
         p.add_argument("--quick", action="store_true", help=quick_help)
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (0 = all cores; default 1)")
+        p.add_argument("--jobs", type=int, default=jobs, metavar="N",
+                       help="worker processes (0 = all cores; "
+                       "default %(default)s)")
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the .repro-cache/ result cache")
 
@@ -574,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="regenerate every table and figure "
         "(parallel + cached; see docs/HARNESS.md)")
-    add_engine_flags(p_report, "quarter every problem scale")
+    add_engine_flags(p_report, "quarter every problem scale", jobs=0)
     p_report.add_argument("--profile", action="store_true",
                           help="print per-component time to stderr "
                           "(docs/PERF.md)")
@@ -585,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="instance family for --suite "
                           "(default: 'default')")
     add_pool_flags(p_report)
-    p_report.set_defaults(fn=_cmd_report, jobs=0)
+    p_report.set_defaults(fn=_cmd_report)
 
     p_chaos = sub.add_parser(
         "chaos", help="fault-injection recovery suite (docs/FAULTS.md)")

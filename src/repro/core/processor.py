@@ -19,10 +19,13 @@ executes sequentially so results are always exact.
 from __future__ import annotations
 
 from collections import deque
-from repro.core.config import MachineConfig, tarantula
+from itertools import count, cycle
+
 from repro.core.coherency import CoherencyController
+from repro.core.config import MachineConfig, tarantula
 from repro.core.functional import FunctionalSimulator
 from repro.core.metrics import TimingResult
+from repro.core.storemap import StoreMap
 from repro.errors import ArchitecturalTrap, SimulationError
 from repro.isa.instructions import Group, Instruction, TimingClass
 from repro.isa.program import Program
@@ -37,7 +40,7 @@ from repro.vbox.address_gen import AddressGenerators
 from repro.vbox.crbox import ConflictResolutionBox
 from repro.vbox.issue import VboxIssue
 from repro.vbox.rename import RenameAllocator
-from repro.vbox.vcu import CompletionUnit
+from repro.vbox.reorder import BANK_PERIOD
 from repro.vbox.vtlb import VectorTLB
 
 #: one-way scalar-operand transfer time across the core<->Vbox interface
@@ -48,6 +51,78 @@ SCALAR_TRANSFER = 10.0
 #: f"mem_{kind}" per retired memory instruction is measurable)
 _MEM_COUNTER = {kind: f"mem_{kind}" for kind in
                 ("pump", "reordered", "cr", "empty")}
+
+_M64 = (1 << 64) - 1
+
+#: retirements between advances of the calendar window (see
+#: TarantulaProcessor._advance_window)
+_WINDOW_PERIOD = 64
+
+
+class TimingRecord:
+    """The static inputs of one instruction's scheduling step.
+
+    Built lazily once per instruction for the reference loop, and once
+    per slot of a compiled JIT trace for batch replay.  A trace runs
+    under a guarded vl/vs regime, so its records carry more: the
+    arithmetic occupancy and latency, the plan-cache key prefix of a
+    memory slot, and a ``setvl``/``setvs`` that only re-asserts the
+    regime (no plan invalidation).
+    """
+
+    __slots__ = ("route", "vector", "vsrc", "ssrc", "needs_vl",
+                 "needs_vs", "needs_vm", "writes", "timing", "busy",
+                 "latency", "key")
+
+    def __init__(self, instr: Instruction, vbox: VboxIssue | None = None,
+                 vl: int | None = None, vs: int | None = None) -> None:
+        d = instr.definition
+        group = d.group
+        #: vector instructions also cross the 3-wide Pbox->Vbox bus, and
+        #: their scalar operands the narrow core<->Vbox interface
+        self.vector = group is not Group.SC
+        # store *data* does not gate address generation/tag lookup (the
+        # store queue holds it); _time_plan accounts for it
+        vsrc = [r for r in instr.vreg_reads()
+                if not (d.is_store and r == instr.va)]
+        if (group is Group.RM or (d.is_memory and d.is_indexed)) \
+                and instr.vb is not None and instr.vb != 31:
+            vsrc.append(instr.vb)
+        self.vsrc = tuple(vsrc)
+        self.ssrc = tuple(r for r in (instr.ra, instr.rb) if r is not None)
+        self.needs_vl = group in (Group.VV, Group.VS, Group.SM, Group.RM)
+        self.needs_vs = d.is_memory and not d.is_indexed
+        self.needs_vm = instr.masked
+        self.writes = instr.vreg_writes()
+        self.timing = d.timing
+        self.busy = self.latency = self.key = None
+        P = TarantulaProcessor
+        batched = vl is not None
+        if group is Group.SC:
+            self.route = P._time_scalar
+        elif group is Group.VC:
+            self.route = P._time_reasserted if batched \
+                and instr.op in ("setvl", "setvs") else P._time_control
+        elif d.is_memory:
+            self.route = P._time_memory
+            if batched and group is Group.SM and not instr.masked:
+                self.route = P._replay_memory
+                self.key = (instr.op, instr.tag, instr.is_prefetch, False,
+                            vl, vs)
+        else:
+            self.route = P._time_arithmetic
+            if batched:
+                self.busy = vbox.occupancy(vl, d.timing)
+                self.latency = vbox.latency(d.timing)
+
+
+def timing_record(instr: Instruction) -> TimingRecord:
+    """The reference loop's record of ``instr`` (memoized on it)."""
+    try:
+        return instr._timing_record
+    except AttributeError:
+        rec = instr._timing_record = TimingRecord(instr)
+        return rec
 
 
 class TarantulaProcessor:
@@ -86,26 +161,11 @@ class TarantulaProcessor:
             self.vtlb, ConflictResolutionBox(cfg.crbox_cycles_per_round),
             pump_enabled=cfg.pump_enabled)
         self.vbox = VboxIssue()
-        self.vcu = CompletionUnit()
         self.rename = RenameAllocator(
             physical=32 + cfg.vbox_rename_registers, architectural=32)
         self.counters = Counter()
-
-        # memory-dependence map: quadword address -> completion time of
-        # the last vector store to it.  Loads and stores to the same
-        # address order behind it (Alpha is weakly ordered between
-        # independent locations, but same-address RAW/WAW is real).
-        self._last_store: dict[int, float] = {}
-        #: cache-line addresses covered by _last_store (a superset —
-        #: rebuilt only on prune), so an access can rule out aliasing
-        #: with one sweep over its <=17 lines instead of its <=128
-        #: quadword addresses
-        self._store_lines: set[int] = set()
-        self._store_watermark = 0.0
-        #: amortized pruning bound for _last_store; doubles when a prune
-        #: reclaims less than half the map, so a large live store window
-        #: never degrades into an O(n) rebuild per store
-        self._store_prune_threshold = 1 << 17
+        #: memory-dependence map: the last vector store to each quadword
+        self.stores = StoreMap(self.counters)
 
         #: optional per-instruction trace: set to a list to record
         #: (index, instruction, dispatch_cycle, completion_cycle)
@@ -120,85 +180,138 @@ class TarantulaProcessor:
         self._vm_ready = 0.0
         self._front_all = 0.0      # 8-wide front end position
         self._front_vec = 0.0      # 3-wide Pbox->Vbox bus position
+        self._inv_core = 1.0 / cfg.core_issue_width
+        self._inv_vbox = 1.0 / cfg.vbox_issue_width
         self._rob: deque[float] = deque()
+        self._rob_entries = cfg.rob_entries
         self._last_completion = 0.0
 
-    # -- helpers -----------------------------------------------------------
+        #: the backfilling timelines the window bound applies to
+        self._calendars = (self.vbox.addr_gen, self.l2.slice_port,
+                           *self.pump.calendars())
+        #: retirements left until the next window advance; negative
+        #: (never reaching 0) outside execute_program
+        self._until_window = -1
+        #: counters of a JIT batch, added once when it ends: replays
+        #: (and seeded first uses) and lane walks per plan-cache entry,
+        #: and ``(bag, name) -> count`` for the rest
+        self._replays: dict = {}
+        self._seeded_misses = 0
+        self._lanes: dict = {}
+        self._counts: dict = {}
+        self._issue_keys = {port: (self.vbox.counters, f"issue_{port.name}")
+                            for port in (self.vbox.north, self.vbox.south)}
 
     def warm_l2(self, base: int, nbytes: int) -> None:
         """Preload an address range into the L2 tags (no timing cost)."""
         self.l2.warm_range(base, nbytes)
 
-    def _sources_ready(self, instr: Instruction) -> float:
-        d = instr.definition
-        vreg_ready = self._vreg_ready
-        sreg_ready = self._sreg_ready
-        ready = 0.0
-        for reg in instr.vreg_reads():
-            if d.is_store and reg == instr.va:
-                # store *data* does not gate address generation/tag lookup
-                # (the store queue holds it); _time_memory accounts for it
-                continue
-            t = vreg_ready[reg]
-            if t > ready:
-                ready = t
-        # scalar operands cross the narrow interface
-        for reg in (instr.ra, instr.rb):
-            if reg is not None:
-                t = sreg_ready[reg]
-                if d.group is not Group.SC:
-                    t += SCALAR_TRANSFER
-                if t > ready:
-                    ready = t
-        if d.group in (Group.VV, Group.VS, Group.SM, Group.RM) \
-                and self._vl_ready > ready:
-            ready = self._vl_ready
-        if d.is_memory and not d.is_indexed and self._vs_ready > ready:
-            ready = self._vs_ready
-        if instr.masked and self._vm_ready > ready:
-            ready = self._vm_ready
-        if d.group in (Group.RM,) or (d.is_memory and d.is_indexed):
-            if instr.vb is not None and instr.vb != 31:
-                t = vreg_ready[instr.vb]
-                if t > ready:
-                    ready = t
-        return ready
+    def _schedule(self, rec: TimingRecord, instr: Instruction):
+        """Dispatch and time one instruction; returns ``(start, done)``.
 
-    def _dispatch_time(self, instr: Instruction) -> float:
-        """Front-end position: fetch/rename bandwidth + ROB window."""
-        d = instr.definition
-        self._front_all += 1.0 / self.config.core_issue_width
-        t = self._front_all
-        if d.group is not Group.SC:
+        The one implementation of the front end (8/cycle overall, 3/cycle
+        into the Vbox), the ROB window and the source-ready rules: the
+        reference loop (:meth:`step`) and JIT batch replay
+        (:meth:`time_batch`) both run every instruction through it.
+        """
+        t = self._front_all = self._front_all + self._inv_core
+        if rec.vector:
             fv = self._front_vec
             if t > fv:
                 fv = t
-            t = self._front_vec = fv + 1.0 / self.config.vbox_issue_width
-        if len(self._rob) >= self.config.rob_entries:
-            head = self._rob.popleft()
+            t = self._front_vec = fv + self._inv_vbox
+        rob = self._rob
+        if len(rob) >= self._rob_entries:
+            head = rob.popleft()
             if head > t:
                 t = head
-        return t
+        vreg_ready = self._vreg_ready
+        for reg in rec.vsrc:
+            rt = vreg_ready[reg]
+            if rt > t:
+                t = rt
+        sreg_ready = self._sreg_ready
+        if rec.vector:
+            # scalar operands cross the narrow interface
+            for reg in rec.ssrc:
+                rt = sreg_ready[reg] + SCALAR_TRANSFER
+                if rt > t:
+                    t = rt
+        else:
+            for reg in rec.ssrc:
+                rt = sreg_ready[reg]
+                if rt > t:
+                    t = rt
+        if rec.needs_vl and self._vl_ready > t:
+            t = self._vl_ready
+        if rec.needs_vs and self._vs_ready > t:
+            t = self._vs_ready
+        if rec.needs_vm and self._vm_ready > t:
+            t = self._vm_ready
+        return t, rec.route(self, rec, instr, t)
 
     def _retire(self, completion: float) -> None:
         self._rob.append(completion)
         if completion > self._last_completion:
             self._last_completion = completion
+        self._until_window -= 1
+        if not self._until_window:
+            self._advance_window()
+
+    def _advance_window(self) -> None:
+        """Drop calendar intervals no future reservation can reach.
+
+        Every reservation an instruction makes asks for a time at or
+        after its dispatch.  Every future dispatch is at or after the
+        front-end position, and — once the ROB is full — at or after the
+        ROB head it pops, which is a current entry or the completion of
+        a future instruction (itself at or after that one's dispatch).
+        So ``max(front end, min(ROB))`` bounds every future reservation
+        from below.  The argument needs every dispatched instruction to
+        retire, so only :meth:`execute_program` (where a trap ends the
+        run) advances the window; a recovering caller stepping through
+        traps never does.
+        """
+        self._until_window = _WINDOW_PERIOD
+        bound = self._front_all
+        rob = self._rob
+        if len(rob) >= self._rob_entries:
+            oldest = min(rob)
+            if oldest > bound:
+                bound = oldest
+        for calendar in self._calendars:
+            calendar.drop_before(bound)
 
     # -- per-group timing ------------------------------------------------------
 
-    def _time_arithmetic(self, instr: Instruction, t0: float) -> float:
-        d = instr.definition
-        vl = self.functional.state.ctrl.vl
-        writes = instr.vreg_writes()
-        t0 = self.rename.allocate(t0, t0 + 1.0) if writes else t0
-        start, done = self.vbox.issue_arithmetic(t0, vl, d.timing)
+    def _time_arithmetic(self, rec: TimingRecord, instr: Instruction,
+                         t0: float) -> float:
+        writes = rec.writes
+        if rec.busy is None:
+            if writes:
+                t0 = self.rename.allocate(t0, t0 + 1.0)
+            start, done = self.vbox.issue_arithmetic(
+                t0, self.functional.state.ctrl.vl, rec.timing)
+        else:
+            counts = self._counts
+            if writes:
+                t1 = self.rename.claim(t0, t0 + 1.0)
+                key = (self.rename.counters, "allocations")
+                counts[key] = counts.get(key, 0) + 1
+                if t1 > t0:
+                    key = (self.rename.counters, "rename_stalls")
+                    counts[key] = counts.get(key, 0) + 1
+                t0 = t1
+            start, done, port = self.vbox.launch(t0, rec.busy, rec.latency)
+            key = self._issue_keys[port]
+            counts[key] = counts.get(key, 0) + 1
+        vreg_ready = self._vreg_ready
         for reg in writes:
-            self._vreg_ready[reg] = done
-        self.vcu.complete(done)
+            vreg_ready[reg] = done
         return done
 
-    def _time_control(self, instr: Instruction, t0: float) -> float:
+    def _time_control(self, rec: TimingRecord, instr: Instruction,
+                      t0: float) -> float:
         op = instr.op
         done = t0 + 1.0
         if op == "setvl":
@@ -224,106 +337,131 @@ class TarantulaProcessor:
                 t0, self.functional.state.ctrl.vl, TimingClass.INT)
             for reg in instr.vreg_writes():
                 self._vreg_ready[reg] = done
-        self.vcu.complete(done)
         return done
 
-    def _memory_order(self, touched: tuple, earliest: float,
-                      slices=None) -> float:
-        """Delay an access behind in-flight stores to the same quadwords."""
-        last = self._last_store
-        if not last or earliest >= self._store_watermark:
-            # no store still completes after `earliest`, so nothing in
-            # the map can push this access later — skip the per-address
-            # walk entirely (the common case once stores drain)
-            return earliest
-        if slices is not None:
-            # line-granularity prefilter: quadword aliasing implies line
-            # aliasing, and the line sweep is ~8x shorter
-            lines = self._store_lines
-            for s in slices:
-                if not lines.isdisjoint(s.line_addresses()):
-                    break
-            else:
-                return earliest
-        hit = last.keys() & touched
-        if not hit:
-            return earliest
-        bound = earliest
-        for addr in hit:
-            # the intersection is tiny (the aliased quadwords only), so
-            # the python loop runs over a handful of entries instead of
-            # the whole 128-address footprint
-            t = last[addr]
-            if t > bound:
-                bound = t
-        if bound > earliest:
-            self.counters.add("memory_order_stalls")
-        return bound
-
-    def _record_store(self, touched: tuple, completion: float,
-                      slices=None) -> None:
-        self._last_store.update(dict.fromkeys(touched, completion))
-        if slices is not None:
-            lines = self._store_lines
-            for s in slices:
-                lines.update(s.line_addresses())
+    def _time_reasserted(self, rec: TimingRecord, instr: Instruction,
+                         t0: float) -> float:
+        """``setvl``/``setvs`` inside a JIT batch: they re-assert the
+        guarded regime, so the plans stay valid and are not dropped."""
+        done = t0 + 1.0
+        if instr.op == "setvl":
+            self._vl_ready = done
         else:
-            self._store_lines.update(a & ~0x3F for a in touched)
-        if completion > self._store_watermark:
-            self._store_watermark = completion
-        # prune entries that completed far in the past: anything that old
-        # can no longer delay an access (dispatch times only move forward)
-        if len(self._last_store) > self._store_prune_threshold:
-            before = len(self._last_store)
-            cutoff = self._store_watermark - 100000.0
-            self._last_store = {a: t for a, t in self._last_store.items()
-                                if t > cutoff}
-            self._store_lines = {a & ~0x3F for a in self._last_store}
-            pruned = before - len(self._last_store)
-            if pruned:
-                self.counters.add("store_map_pruned", pruned)
-            if len(self._last_store) > self._store_prune_threshold >> 1:
-                self._store_prune_threshold <<= 1
+            self._vs_ready = done
+        return done
 
-    def _time_memory(self, instr: Instruction, t0: float) -> float:
+    def _time_memory(self, rec: TimingRecord, instr: Instruction,
+                     t0: float) -> float:
         plan = self.addr_gens.plan(instr, self.functional.state)
         if plan.kind == "empty":
             return t0 + 1.0
-        t0 = self._memory_order(plan.touched, t0, plan.slices)
+        self.counters.add(_MEM_COUNTER[plan.kind])
+        return self._time_plan(instr, plan, plan.delta, t0, False)
+
+    def _replay_memory(self, rec: TimingRecord, instr: Instruction,
+                       t0: float) -> float:
+        """Batch route of a strided memory slot: replay its harvested
+        plan by base residue, counting once per batch.
+
+        Every guard runs before anything mutates; a failed guard hands
+        the instruction, untouched, to :meth:`_time_memory`.
+        """
+        gens = self.addr_gens
+        base = (self.functional.state.sregs.read(instr.rb)
+                + instr.disp) & _M64
+        key = rec.key + (base % BANK_PERIOD, None)
+        entry = gens._plan_cache.get(key)
+        if entry is None or gens.trace is not None \
+                or not gens.replayable(entry, base - entry.base):
+            return self._time_memory(rec, instr, t0)
+        replays = self._replays
+        replays[entry] = replays.get(entry, 0) + 1
+        if key in gens._seeded:
+            # first use of a cross-run seeded entry: the miss the build
+            # path would have produced (every other replay is a hit)
+            gens._seeded.discard(key)
+            self._seeded_misses += 1
+        return self._time_plan(instr, entry, base - entry.base, t0, True)
+
+    def _time_plan(self, instr: Instruction, plan, delta: int, t0: float,
+                   batched: bool) -> float:
+        """Time a planned access (an AccessPlan, or a plan-cache entry
+        replayed at ``delta``) through the memory pipeline."""
+        layout = plan.layout
+        stores = self.stores
+        # the line prefilter only saves building a footprint
+        if t0 < stores.watermark and stores.lines and (
+                layout.has_footprint
+                or stores.may_alias(layout.lines, delta)):
+            keys, masks = layout.footprint()
+            bound = stores.order(keys, masks, delta, t0)
+            if bound > t0:
+                t0 = bound
+                if batched:
+                    key = (self.counters, "memory_order_stalls")
+                    self._counts[key] = self._counts.get(key, 0) + 1
+                else:
+                    self.counters.add("memory_order_stalls")
         gen_time = plan.addr_gen_cycles + plan.tlb_penalty
         gen_start = self.vbox.addr_gen.reserve(t0, gen_time)
-        self.counters.add(_MEM_COUNTER[plan.kind])
-        if not plan.slices:
+        if not layout.lines:
             return gen_start + gen_time
-        per_slice = gen_time / len(plan.slices)
-        completion = gen_start
-        for i, s in enumerate(plan.slices):
-            t_slice = gen_start + (i + 1) * per_slice
-            done = self.l2.access_slice(
-                s.line_addresses(), s.quadwords, plan.is_write, t_slice,
-                pump_bit=s.pump, full_line_write=s.full_line_write,
-                canonical=True)
-            completion = max(completion, done)
-        if plan.is_write and instr.va is not None and instr.va != 31:
-            # the store retires once its data has streamed out of the
-            # register file (ceil(qw/32) cycles after the data is ready)
-            data_ready = self._vreg_ready[instr.va]
-            completion = max(completion,
-                             data_ready + max(1.0, plan.quadwords / 32.0))
-        if plan.is_write:
-            self._record_store(plan.touched, completion, plan.slices)
+        is_write = plan.is_write
+        completion, lane = self.l2.access_slices(
+            layout, delta, is_write, gen_start, gen_time / len(layout.lines))
+        if lane:
+            if batched:
+                lanes = self._lanes
+                lanes[plan] = lanes.get(plan, 0) + 1
+            else:
+                self.l2.count_lanes(((layout, is_write, 1),))
+        if is_write:
+            va = instr.va
+            if va is not None and va != 31:
+                # the store retires once its data has streamed out of the
+                # register file (ceil(qw/32) cycles after the data is
+                # ready)
+                data_ready = self._vreg_ready[va]
+                completion = max(completion,
+                                 data_ready + max(1.0, plan.quadwords / 32.0))
+            keys, masks = layout.footprint()
+            stores.record(keys, masks, delta, completion)
         if plan.is_prefetch:
             # prefetches retire as soon as addresses are generated; the
             # fills proceed in the background
-            done = gen_start + gen_time
-            self.vcu.complete(done)
-            return done
-        if not plan.is_write and instr.vd is not None and instr.vd != 31:
+            return gen_start + gen_time
+        if not is_write and instr.vd is not None and instr.vd != 31:
             self._vreg_ready[instr.vd] = completion
-        self.vcu.complete(completion)
         return completion
 
-    def _time_scalar(self, instr: Instruction, t0: float) -> float:
+    def _flush_batch_counters(self) -> None:
+        replays, lanes, counts = self._replays, self._lanes, self._counts
+        if replays:
+            gens = self.addr_gens
+            gens.count_replays(replays.items())
+            kinds: dict[str, int] = {}
+            for entry, times in replays.items():
+                name = _MEM_COUNTER[entry.kind]
+                kinds[name] = kinds.get(name, 0) + times
+            for name, times in kinds.items():
+                self.counters.add(name, times)
+            hits = sum(replays.values()) - self._seeded_misses
+            if hits:
+                gens.counters.add("plan_cache_hits", hits)
+            if self._seeded_misses:
+                gens.counters.add("plan_cache_misses", self._seeded_misses)
+                self._seeded_misses = 0
+        if lanes:
+            self.l2.count_lanes((entry.layout, entry.is_write, times)
+                                for entry, times in lanes.items())
+        for (bag, name), times in counts.items():
+            bag.add(name, times)
+        replays.clear()
+        lanes.clear()
+        counts.clear()
+
+    def _time_scalar(self, rec: TimingRecord, instr: Instruction,
+                     t0: float) -> float:
         op = instr.op
         if op == "ldq":
             addr = (self.functional.state.sregs.read(instr.rb) + instr.disp)
@@ -359,20 +497,8 @@ class TarantulaProcessor:
         put so a recovered run can re-execute it in place.
         """
         idx = self._instr_index
-        d = instr.definition
         try:
-            t0 = self._dispatch_time(instr)
-            src = self._sources_ready(instr)
-            if src > t0:
-                t0 = src
-            if d.group is Group.SC:
-                done = self._time_scalar(instr, t0)
-            elif d.group is Group.VC:
-                done = self._time_control(instr, t0)
-            elif d.is_memory:
-                done = self._time_memory(instr, t0)
-            else:
-                done = self._time_arithmetic(instr, t0)
+            t0, done = self._schedule(timing_record(instr), instr)
             self.functional.step(instr)
         except ArchitecturalTrap as trap:
             raise trap.attribute(idx) from None
@@ -381,6 +507,29 @@ class TarantulaProcessor:
             self.trace.append((idx, instr, t0, done))
         self._instr_index = idx + 1
         return done
+
+    def time_batch(self, program: Program, first: int, period: int,
+                   reps: int, records) -> None:
+        """Time ``reps`` iterations of a JIT batch starting at ``first``.
+
+        Each instruction goes through :meth:`_schedule` with its slot's
+        record (``records[m]`` for slot ``m``) and retires; the caller
+        runs the functional half batched.  Counters of replayed memory
+        slots and arithmetic issues are added once, when the batch ends
+        — however it ends.  A trap is attributed to its instruction.
+        """
+        schedule = self._schedule
+        retire = self._retire
+        idx = first
+        try:
+            for idx, instr, rec in zip(
+                    count(first), program[first:first + period * reps],
+                    cycle(records)):
+                retire(schedule(rec, instr)[1])
+        except ArchitecturalTrap as trap:
+            raise trap.attribute(idx) from None
+        finally:
+            self._flush_batch_counters()
 
     def resume_at(self, index: int) -> None:
         """Point the co-simulated pair at instruction ``index``.
@@ -401,20 +550,26 @@ class TarantulaProcessor:
         effects: the instruction trace hook is off, address tracing and
         tail poisoning are off, and :mod:`repro.jit` is enabled.  Any
         other configuration — and any region the JIT cannot prove safe —
-        uses the per-instruction reference loop.
+        uses the per-instruction reference loop.  Either way a trap ends
+        the run, so the calendar window advances
+        (:meth:`_advance_window`).
         """
         fn = self.functional
-        if fn.address_trace is None and not fn.poison_tail \
-                and self.trace is None:
-            from repro import jit
+        self._until_window = _WINDOW_PERIOD
+        try:
+            if fn.address_trace is None and not fn.poison_tail \
+                    and self.trace is None:
+                from repro import jit
 
-            if jit.enabled():
-                from repro.jit.runtime import run_timing
+                if jit.enabled():
+                    from repro.jit.runtime import run_timing
 
-                run_timing(self, program)
-                return
-        for instr in program:
-            self.step(instr)
+                    run_timing(self, program)
+                    return
+            for instr in program:
+                self.step(instr)
+        finally:
+            self._until_window = -1
 
     def run(self, program: Program) -> TimingResult:
         """Run a whole program; returns timing + operation metrics."""

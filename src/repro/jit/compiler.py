@@ -34,14 +34,14 @@ Eligibility (anything else deoptimizes to the interpreter):
   symbolically here and re-checked against live base registers at every
   region entry.
 
-The timing half does not batch the machine model: it replays the
-interpreter's per-instruction scheduling with precomputed slot metadata
-(see :mod:`repro.jit.runtime`), calling the real ``plan()``/L2/coherency
-paths so cycles stay bit-identical by construction.  What it *skips* is
-the plan-cache invalidation on in-region ``setvl``/``setvs``: those
-re-assert the guarded regime, so invalidation would only thrash the
-PR 5 plan cache (cycles are unaffected — a replayed plan is identical
-to a rebuilt one, which the plan-cache differential suite proves).
+The timing half does not batch the machine model: every batched
+instruction goes through the processor's one scheduling step with a
+per-slot record (see :mod:`repro.jit.runtime`), so cycles stay
+bit-identical by construction.  What it *skips* is the plan-cache
+invalidation on in-region ``setvl``/``setvs``: those re-assert the
+guarded regime, so invalidation would only thrash the plan cache
+(cycles are unaffected — a replayed plan is identical to a rebuilt one,
+which the plan-cache differential suite proves).
 """
 
 from __future__ import annotations
@@ -208,37 +208,22 @@ def check_disjoint(mem_slots, sregs, vl, vs, R) -> bool:
     return True
 
 
-class SlotTiming:
-    """Precomputed per-slot inputs of the interpreter's scheduling step."""
-
-    __slots__ = ("route", "is_sc", "vsrc", "ssrc", "transfer",
-                 "needs_vl", "needs_vs")
-
-    def __init__(self, route, is_sc, vsrc, ssrc, transfer, needs_vl,
-                 needs_vs):
-        self.route = route
-        self.is_sc = is_sc
-        self.vsrc = vsrc
-        self.ssrc = ssrc
-        self.transfer = transfer
-        self.needs_vl = needs_vl
-        self.needs_vs = needs_vs
-
-
 class CompiledTrace:
     """One region compiled against a vl/vs regime."""
 
-    __slots__ = ("period", "vl", "vs", "steps", "slots_timing",
+    __slots__ = ("period", "vl", "vs", "steps", "timing_records",
                  "mem_slots", "written_vregs", "written_sregs",
                  "counts_inc", "tag_inc", "plan_store")
 
-    def __init__(self, period, vl, vs, steps, slots_timing, mem_slots,
-                 written_vregs, written_sregs, counts_inc, tag_inc):
+    def __init__(self, period, vl, vs, steps, mem_slots, written_vregs,
+                 written_sregs, counts_inc, tag_inc):
         self.period = period
         self.vl = vl
         self.vs = vs
         self.steps = steps
-        self.slots_timing = slots_timing
+        #: per-slot ``TimingRecord`` list, built by the runtime on the
+        #: trace's first timing batch (functional-only runs never need it)
+        self.timing_records = None
         self.mem_slots = mem_slots
         self.written_vregs = written_vregs
         self.written_sregs = written_sregs
@@ -492,26 +477,6 @@ def _make_scalar(instr):
 # -- compilation ------------------------------------------------------------
 
 
-def _timing_slot(instr):
-    d = instr.definition
-    vsrc = tuple(r for r in instr.vreg_reads()
-                 if not (d.is_store and r == instr.va))
-    ssrc = tuple(r for r in (instr.ra, instr.rb) if r is not None)
-    if d.group is Group.SC:
-        route = "sc"
-    elif d.group is Group.VC:
-        route = instr.op                     # "setvl" | "setvs"
-    elif d.is_memory:
-        route = "mem"
-    else:
-        route = "arith"
-    return SlotTiming(
-        route=route, is_sc=d.group is Group.SC, vsrc=vsrc, ssrc=ssrc,
-        transfer=d.group is not Group.SC,
-        needs_vl=d.group in (Group.VV, Group.VS, Group.SM, Group.RM),
-        needs_vs=d.is_memory and not d.is_indexed)
-
-
 def _operand_fetchers(instr, flow, m, fp_imm=None):
     """(fetch_a, fetch_b) for an operate's two sources; validates reads."""
     d = instr.definition
@@ -698,7 +663,6 @@ def compile_region(program, region, state) -> CompiledTrace:
     return CompiledTrace(
         period=p, vl=vl, vs=vs,
         steps=[s for s in steps if s is not None],
-        slots_timing=[_timing_slot(i) for i in slots],
         mem_slots=mem_slots,
         written_vregs=tuple(written_vregs),
         written_sregs=tuple(written_sregs),

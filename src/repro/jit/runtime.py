@@ -16,10 +16,11 @@ and enters a trace at each recorded region head:
    *validation* run first and mutate nothing, so an architectural trap
    mid-batch deoptimizes with zero side effects and the interpreter
    re-executes the iterations one by one, trapping at the precise PC.
-   The timing half then replays the interpreter's per-instruction
-   scheduling (same ``_time_*`` helpers, same dispatch/ROB arithmetic)
-   over the real instruction objects — cycles are bit-identical by
-   construction — and finally the functional results commit.
+   The timing half then runs every batched instruction through the
+   processor's one scheduling step (``TarantulaProcessor.time_batch``)
+   with per-slot records specialized to the guarded regime — cycles
+   are bit-identical by construction — and finally the functional
+   results commit.
 
 A deoptimized entry consumes only the trimmed first iteration; the
 burst loop interprets the remaining iterations because the next region
@@ -39,6 +40,7 @@ import weakref
 
 import numpy as np
 
+from repro.core.processor import TimingRecord
 from repro.errors import ArchitecturalTrap
 from repro.jit.compiler import (
     TraceReject,
@@ -48,9 +50,6 @@ from repro.jit.compiler import (
 )
 from repro.jit.recorder import find_regions
 from repro.vbox.reorder import BANK_PERIOD
-
-#: imported for the inlined source-ready check (matches processor.py)
-from repro.core.processor import SCALAR_TRANSFER
 
 
 class JitStats:
@@ -297,97 +296,23 @@ def _harvest_plans(proc, program, trace, start: int, R: int) -> None:
             entry = cache.get(key)
             if entry is not None:
                 store[key] = entry
+                if entry.layout.lane is None:
+                    # later runs replay it: build its L2 lane now
+                    entry.layout.make_lane()
 
 
-def _time_batch(proc, program, trace, start, R) -> None:
-    """Replay the interpreter's scheduling for R batched iterations.
+def _timing_records(trace, program, start, proc):
+    """The trace's per-slot scheduling records, built on first use.
 
-    Mirrors ``TarantulaProcessor.step`` exactly — same dispatch/ROB
-    arithmetic, same source-ready rules (specialized via the compiled
-    slot metadata), same ``_time_scalar``/``_time_memory``/
-    ``_time_arithmetic`` helpers over the *real* instruction objects —
-    except ``setvl``/``setvs``: they re-assert the guarded regime, so
-    the plan-cache invalidation is skipped (replayed plans equal rebuilt
-    ones; the scoreboard/VCU updates are kept) and the functional half
-    runs batched instead of per instruction.
+    They depend only on the slot's instruction shape and the guarded
+    regime, so one list serves every batch of the trace.
     """
-    period = trace.period
-    slots = trace.slots_timing
-    cfg = proc.config
-    inv_core = 1.0 / cfg.core_issue_width
-    inv_vbox = 1.0 / cfg.vbox_issue_width
-    rob_entries = cfg.rob_entries
-    rob = proc._rob
-    vr = proc._vreg_ready
-    sr = proc._sreg_ready
-    vcu_complete = proc.vcu.complete
-    time_scalar = proc._time_scalar
-    time_memory = proc._time_memory
-    time_arith = proc._time_arithmetic
-    idx = start + period
-    try:
-        for k in range(R):
-            base = start + period * (k + 1)
-            for m in range(period):
-                st = slots[m]
-                idx = base + m
-                instr = program[idx]
-                # dispatch (= _dispatch_time)
-                t = proc._front_all = proc._front_all + inv_core
-                if not st.is_sc:
-                    fv = proc._front_vec
-                    if t > fv:
-                        fv = t
-                    t = proc._front_vec = fv + inv_vbox
-                if len(rob) >= rob_entries:
-                    head = rob.popleft()
-                    if head > t:
-                        t = head
-                # sources (= _sources_ready for compiled-eligible ops:
-                # never masked, never indexed)
-                for reg in st.vsrc:
-                    rt = vr[reg]
-                    if rt > t:
-                        t = rt
-                if st.transfer:
-                    for reg in st.ssrc:
-                        rt = sr[reg] + SCALAR_TRANSFER
-                        if rt > t:
-                            t = rt
-                else:
-                    for reg in st.ssrc:
-                        rt = sr[reg]
-                        if rt > t:
-                            t = rt
-                if st.needs_vl:
-                    rt = proc._vl_ready
-                    if rt > t:
-                        t = rt
-                if st.needs_vs:
-                    rt = proc._vs_ready
-                    if rt > t:
-                        t = rt
-                route = st.route
-                if route == "mem":
-                    done = time_memory(instr, t)
-                elif route == "arith":
-                    done = time_arith(instr, t)
-                elif route == "sc":
-                    done = time_scalar(instr, t)
-                elif route == "setvl":
-                    done = t + 1.0
-                    proc._vl_ready = done
-                    vcu_complete(done)
-                else:  # setvs
-                    done = t + 1.0
-                    proc._vs_ready = done
-                    vcu_complete(done)
-                # retire (= _retire)
-                rob.append(done)
-                if done > proc._last_completion:
-                    proc._last_completion = done
-    except ArchitecturalTrap as trap:
-        raise trap.attribute(idx) from None
+    records = trace.timing_records
+    if records is None:
+        records = trace.timing_records = [
+            TimingRecord(program[start + m], proc.vbox, trace.vl, trace.vs)
+            for m in range(trace.period)]
+    return records
 
 
 def _execute_timing(entry, program, proc) -> int:
@@ -416,7 +341,8 @@ def _execute_timing(entry, program, proc) -> int:
     if ctx is None:
         return period
     _seed_plans(proc, trace)
-    _time_batch(proc, program, trace, start, R)
+    proc.time_batch(program, start + period, period, R,
+                    _timing_records(trace, program, start, proc))
     _harvest_plans(proc, program, trace, start, R)
     _commit_batch(trace, ctx, fn, R)
     proc._instr_index += period * R

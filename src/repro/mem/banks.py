@@ -178,6 +178,10 @@ class SetAssocCache:
         self._flat_dirty = self._dirty.reshape(-1)
         self._flat_pbit = self._pbit.reshape(-1)
         self._flat_stamp = self._stamp.reshape(-1)
+        #: buffer views for scalar writes from python (several times
+        #: cheaper than numpy item assignment; see hit_lane)
+        self._stamp_view = memoryview(self._flat_stamp)
+        self._dirty_view = memoryview(self._flat_dirty)
         #: resident line number (addr >> line_shift) -> flat slot index
         self._pos: dict[int, int] = {}
         #: per-set count of ways ever allocated contiguously from way 0;
@@ -388,18 +392,37 @@ class SetAssocCache:
         fall back to the general path.  Never sets P-bits (vector side
         only, ``from_core=False``).
         """
-        pos, shift = self._pos, self._line_shift
+        shift = self._line_shift
+        n = len(addrs)
+        if not self.hit_lane([addr >> shift for addr in addrs], 0, range(n),
+                             n, is_write):
+            return False
+        self.counters.add("hits", n)
+        return True
+
+    def hit_lane(self, line_nums, shift: int, offsets, probes: int,
+                 is_write: bool) -> bool:
+        """Apply ``probes`` all-hit probes of lines ``n + shift`` at once,
+        or do nothing and return False when one is not resident.
+
+        Line ``line_nums[i] + shift`` takes the stamp of its last probe,
+        ``clock + offsets[i]``, exactly as a probe-by-probe walk leaves
+        it (see :meth:`access_all_hit`).  Counters are the caller's.
+        """
+        pos = self._pos
         try:
-            slots = [pos[addr >> shift] for addr in addrs]
+            slots = [pos[n + shift] for n in line_nums]
         except KeyError:
             return False
-        n = len(slots)
         stamp = self._clock
-        self._flat_stamp[slots] = np.arange(stamp, stamp + n)
+        stamps = self._stamp_view
+        for slot, offset in zip(slots, offsets):
+            stamps[slot] = stamp + offset
         if is_write:
-            self._flat_dirty[slots] = True
-        self._clock = stamp + n
-        self.counters.add("hits", n)
+            dirty = self._dirty_view
+            for slot in slots:
+                dirty[slot] = True
+        self._clock = stamp + probes
         return True
 
     # -- batched peeks (no LRU / counter effects) -----------------------------

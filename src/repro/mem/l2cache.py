@@ -143,9 +143,9 @@ class BankedL2:
         hot = self.tags.pbit_lines(lines)
         if not hot:
             return 0.0
-        for addr in hot:
-            self.counters.add("pbit_hits")
-            if self.l1 is not None:
+        self.counters.add("pbit_hits", len(hot))
+        if self.l1 is not None:
+            for addr in hot:
                 self.l1.invalidate(addr)
         self.tags.clear_pbits(hot)
         return self.config.l1_invalidate_penalty
@@ -301,6 +301,88 @@ class BankedL2:
         if pump_bit and self.pump.enabled:
             return self.pump.stream(quadwords, is_write, t_data)
         return t_data
+
+    def access_slices(self, layout, delta: int, is_write: bool,
+                      gen_start: float, per_slice: float):
+        """Walk one instruction's slices; returns ``(data time, lane)``.
+
+        Slice ``i`` of ``layout`` (rebased by ``delta`` bytes) enters the
+        pipe at ``gen_start + (i + 1) * per_slice``.  When every line is
+        resident and no fill can still be in flight, the all-hit lane
+        applies the whole instruction at once — one residency check, one
+        stamp write, P-bit lines handled inline — and returns
+        ``lane=True`` *without* counting: the caller adds
+        :meth:`count_lanes` (at once, or for a whole batch).  Otherwise
+        it walks :meth:`access_slice` slice by slice from the first.
+        Both give the slice-by-slice walk's state, times and counters.
+        """
+        lane = layout.lane
+        # slice i's lookup is at or after its entry time, so one watermark
+        # check covers every slice's in-flight-fill probe
+        if lane is None or self._tags_all_hit is None \
+                or self._fill_watermark > gen_start + per_slice \
+                or not self.tags.hit_lane(lane[0], delta >> 6, lane[1],
+                                          lane[2], is_write):
+            completion = gen_start
+            for i, (lines, quadwords, pump_bit, full) in enumerate(zip(
+                    layout.lines, layout.quadwords, layout.pump,
+                    layout.full), 1):
+                if delta:
+                    lines = [line + delta for line in lines]
+                done = self.access_slice(
+                    lines, quadwords, is_write, gen_start + i * per_slice,
+                    pump_bit=pump_bit, full_line_write=full, canonical=True)
+                if done > completion:
+                    completion = done
+            return completion, False
+        reserve = self.slice_port.reserve
+        hit_latency = self.config.hit_latency
+        pbits = self.tags._pbit_set
+        if pbits and pbits.isdisjoint(map((delta >> 6).__add__, lane[0])):
+            pbits = None            # one P-bit check for the instruction
+        pump = self.pump if self.pump.enabled else None
+        completion = gen_start
+        for i, (lines, quadwords, pump_bit) in enumerate(zip(
+                layout.lines, layout.quadwords, layout.pump), 1):
+            t_lookup = reserve(gen_start + i * per_slice, 1.0)
+            t = t_lookup + hit_latency
+            if pbits:
+                # a vector touch of core-touched lines: L1 invalidates
+                # (slice order matters — each slice clears its own)
+                delay = self._pbit_coherency(
+                    [line + delta for line in lines] if delta else lines,
+                    t_lookup)
+                if delay:
+                    t += delay
+            if pump_bit and pump is not None:
+                t = pump.occupy(quadwords, is_write, t)
+            if t > completion:
+                completion = t
+        return completion, True
+
+    def count_lanes(self, walks) -> None:
+        """Add the counters of the lane walks in ``walks``, an iterable
+        of ``(layout, is_write, times)``."""
+        slices = pump_slices = probes = 0
+        streams = {False: [0, 0], True: [0, 0]}
+        for layout, is_write, times in walks:
+            _, _, n_probes, n_pump, pump_qw = layout.lane
+            slices += len(layout.lines) * times
+            probes += n_probes * times
+            if n_pump:
+                pump_slices += n_pump * times
+                stream = streams[is_write]
+                stream[0] += n_pump * times
+                stream[1] += pump_qw * times
+        self.counters.add("slices", slices)
+        if pump_slices:
+            self.counters.add("pump_slices", pump_slices)
+        self.counters.add("line_hits", probes)
+        self.tags.counters.add("hits", probes)
+        if self.pump.enabled:
+            for is_write, (n, quadwords) in streams.items():
+                if n:
+                    self.pump.count(n, quadwords, is_write)
 
     # -- the scalar (EV8 core) path ------------------------------------------------
 

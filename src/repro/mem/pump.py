@@ -51,6 +51,14 @@ class PumpUnit:
         A full 128-element slice occupies the bus for 4 cycles; shorter
         vector lengths stream proportionally fewer cycles (rounded up).
         """
+        finish = self.occupy(quadwords, is_write, earliest)
+        self.count(1, quadwords, is_write)
+        return finish
+
+    def occupy(self, quadwords: int, is_write: bool,
+               earliest: float) -> float:
+        """:meth:`stream` without its counters (the caller adds them
+        with :meth:`count`, possibly for many streams at once)."""
         if not self.enabled:
             raise ConfigError("pump disabled: stride-1 must use slice path")
         cycles = -(-quadwords // self.qw_per_cycle)
@@ -60,6 +68,14 @@ class PumpUnit:
         reg_start = regs.peek(earliest)
         start = bus.reserve(reg_start, cycles)
         regs.reserve(start, cycles)
-        self.counters.add("pump_writes" if is_write else "pump_reads")
-        self.counters.add("pump_quadwords", quadwords)
         return start + cycles
+
+    def count(self, streams: int, quadwords: int, is_write: bool) -> None:
+        """Count ``streams`` streams moving ``quadwords`` in total."""
+        self.counters.add("pump_writes" if is_write else "pump_reads",
+                          streams)
+        self.counters.add("pump_quadwords", quadwords)
+
+    def calendars(self) -> tuple:
+        """The streaming buses (backfilling timelines)."""
+        return self._read_bus, self._write_bus

@@ -19,6 +19,8 @@ from __future__ import annotations
 import bisect
 import heapq
 
+_INF = float("inf")
+
 
 class ResourceTimeline:
     """A single in-order resource with a next-free cycle."""
@@ -62,39 +64,43 @@ class CalendarTimeline:
     out-of-order events — the L2 slice port (retry walks arrive long
     after younger first walks) and the PUMP streaming buses (hit data
     must not queue behind a miss's much-later stream).  Busy intervals
-    are kept sorted; intervals far behind the advancing query watermark
-    are pruned, so memory and insert cost stay bounded by the active
-    window rather than the whole run.
+    are kept sorted.  The owner bounds the list with
+    :meth:`drop_before`, passing a time no future reservation can ask
+    for; intervals ending before it can never shape a reply again.
     """
-
-    #: intervals ending this far before the oldest plausible query are dropped
-    PRUNE_SLACK = 100000.0
 
     def __init__(self, name: str = "calendar") -> None:
         self.name = name
         self._busy: list[tuple[float, float]] = []  # sorted (start, end)
         self.busy_cycles = 0.0
-        self._watermark = 0.0
+        #: the last bound passed to drop_before (a promise from the owner
+        #: that no later reservation asks for an earlier time)
+        self.floor = 0.0
 
-    def _prune(self) -> None:
-        cutoff = self._watermark - self.PRUNE_SLACK
+    def drop_before(self, bound: float) -> None:
+        """Forget intervals that end before ``bound``.
+
+        The caller promises every later reservation asks for a time
+        ``>= bound``.  Such a reservation's gap search starts at or after
+        ``bound``, and an interval ending before it is neither the one
+        covering the request nor a neighbor it could touch, so dropping
+        it changes no reply.
+        """
+        busy = self._busy
         drop = 0
-        for start, end in self._busy:
-            if end >= cutoff:
+        for _, end in busy:
+            if end >= bound:
                 break
             drop += 1
         if drop:
-            del self._busy[:drop]
+            del busy[:drop]
+        self.floor = bound
 
     def reserve(self, earliest: float, occupancy: float) -> float:
         """Claim the earliest gap of ``occupancy`` cycles at/after
         ``earliest``; returns the start time."""
         if occupancy < 0:
             raise ValueError(f"occupancy must be >= 0, got {occupancy}")
-        if earliest > self._watermark:
-            self._watermark = earliest
-            if len(self._busy) > 4096:
-                self._prune()
         self.busy_cycles += occupancy
         if occupancy == 0:
             return earliest
@@ -112,7 +118,7 @@ class CalendarTimeline:
             else:
                 busy.append((earliest, earliest + occupancy))
             return earliest
-        idx = bisect.bisect_right(busy, (earliest, float("inf"))) - 1
+        idx = bisect.bisect_right(busy, (earliest, _INF)) - 1
         # candidate start: after the interval covering/preceding `earliest`
         start = earliest
         if idx >= 0:
@@ -147,7 +153,7 @@ class CalendarTimeline:
 
     def peek(self, earliest: float) -> float:
         """Start a 1-cycle reservation would get, without reserving."""
-        idx = bisect.bisect_right(self._busy, (earliest, float("inf"))) - 1
+        idx = bisect.bisect_right(self._busy, (earliest, _INF)) - 1
         start = earliest
         if idx >= 0:
             start = max(earliest, self._busy[idx][1])
@@ -179,9 +185,11 @@ class MultiPortTimeline:
         """Reserve one port; returns the start cycle."""
         if occupancy < 0:
             raise ValueError(f"occupancy must be >= 0, got {occupancy}")
-        free = heapq.heappop(self._free)
-        start = max(earliest, free)
-        heapq.heappush(self._free, start + occupancy)
+        free = self._free[0]
+        start = free if free > earliest else earliest
+        # only the earliest-free port is ever observed, so replacing it
+        # in one step equals popping it and pushing its new free time
+        heapq.heapreplace(self._free, start + occupancy)
         self.busy_cycles += occupancy
         return start
 

@@ -12,13 +12,11 @@ from repro.vbox.reorder import (
     schedule_cache_info,
 )
 from repro.vbox.slices import SLICE_SIZE, Slice
-from repro.vbox.vcu import CompletionUnit
 from repro.vbox.vtlb import LaneTLB, RefillStrategy, VectorTLB
 
 __all__ = [
     "AccessPlan",
     "AddressGenerators",
-    "CompletionUnit",
     "ConflictResolutionBox",
     "FunctionalUnitLatencies",
     "LaneConfig",

@@ -17,14 +17,11 @@ Every path first translates through the vector TLB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.isa.instructions import Group, Instruction
 from repro.isa.registers import MVL, ArchState
 from repro.isa.semantics import indexed_addresses, strided_addresses
-from repro.utils.bitops import line_address
 from repro.utils.stats import Counter
 from repro.vbox.crbox import ConflictResolutionBox
 from repro.vbox.reorder import BANK_PERIOD, conflict_free_schedule, \
@@ -47,25 +44,124 @@ _KIND_COUNTER = {"pump": "pump_plans", "reordered": "reordered_plans"}
 _PLAN_CACHE_MAX = 8192
 
 
-@dataclass
+_KEY_MASK = np.uint64(~0x38 & _M64)
+_ONE, _THREE, _SEVEN = np.uint64(1), np.uint64(3), np.uint64(7)
+
+
+def footprint(addrs) -> tuple[list[int], list[int]]:
+    """Store-map footprint (:mod:`repro.core.storemap`) of ``addrs``:
+    parallel ``(keys, masks)`` lists, ``key = addr & ~0x38`` and mask bit
+    ``(addr >> 3) & 7``, so two addresses share a key and a bit exactly
+    when they are equal."""
+    addrs = np.asarray(addrs, dtype=np.uint64)
+    keys = addrs & _KEY_MASK
+    bits = _ONE << ((addrs >> _THREE) & _SEVEN)
+    key_list = keys.tolist()
+    if len(set(key_list)) == len(key_list):
+        return key_list, bits.tolist()      # one address per key
+    if not (keys[1:] >= keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        keys, bits = keys[order], bits[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return (keys[starts].tolist(),
+            np.bitwise_or.reduceat(bits, starts).tolist())
+
+
+class PlanLayout:
+    """One access's slice structure at the base it was built at.
+
+    Every replay of a cached plan shares its layout and rebases it by a
+    byte delta — a multiple of ``BANK_PERIOD``, so line splits, bank
+    schedule and full-line-write classification are all preserved —
+    instead of copying slices and addresses per access.
+    """
+
+    __slots__ = ("slices", "lines", "quadwords", "pump", "full", "addrs",
+                 "lane", "_footprint")
+
+    def __init__(self, slices: list[Slice], addrs: np.ndarray) -> None:
+        self.slices = slices
+        #: per slice: sorted distinct line addresses, quadwords moved,
+        #: pump bit, full-line-write flag
+        self.lines = [s.line_addresses() for s in slices]
+        self.quadwords = [s.quadwords for s in slices]
+        self.pump = [s.pump for s in slices]
+        self.full = [s.full_line_write for s in slices]
+        #: physical addresses of the valid elements, in element order
+        self.addrs = addrs
+        #: the L2 all-hit lane, precomputed once the plan is replayed:
+        #: ``(line numbers, stamp offsets, line probes, pump slices,
+        #: pump quadwords)`` — each probed line once, with the LRU stamp
+        #: offset of its *last* probe in a slice-by-slice walk
+        self.lane = None
+        self._footprint = None
+
+    @property
+    def has_footprint(self) -> bool:
+        return self._footprint is not None
+
+    def footprint(self) -> tuple[list[int], list[int]]:
+        """Store-map footprint ``(keys, masks)`` at the layout's base."""
+        fp = self._footprint
+        if fp is None:
+            fp = self._footprint = footprint(self.addrs)
+        return fp
+
+    def make_lane(self) -> None:
+        """Precompute :attr:`lane` (see there)."""
+        last: dict[int, int] = {}
+        probe = 0
+        for lines in self.lines:
+            for line in lines:
+                last[line >> 6] = probe
+                probe += 1
+        pump_qw = sum(q for q, p in zip(self.quadwords, self.pump) if p)
+        self.lane = (list(last), list(last.values()), probe,
+                     sum(self.pump), pump_qw)
+
+
 class AccessPlan:
-    """Everything the memory pipeline needs to time one instruction."""
+    """Everything the memory pipeline needs to time one instruction:
+    a layout (None for an empty access) rebased by ``delta`` bytes."""
 
-    kind: str                      # 'pump' | 'reordered' | 'cr' | 'empty'
-    is_write: bool
-    is_prefetch: bool
-    slices: list[Slice] = field(default_factory=list)
-    #: total address-generation (+ CR tournament) cycles
-    addr_gen_cycles: float = 1.0
-    #: PALcode TLB refill penalty, cycles
-    tlb_penalty: float = 0.0
-    #: data quadwords moved (valid elements)
-    quadwords: int = 0
-    #: physical quadword addresses touched (for memory-dependence checks)
-    touched: tuple = ()
+    __slots__ = ("kind", "is_write", "is_prefetch", "layout",
+                 "addr_gen_cycles", "tlb_penalty", "quadwords", "delta")
+
+    def __init__(self, kind: str, is_write: bool, is_prefetch: bool,
+                 layout: PlanLayout | None = None,
+                 addr_gen_cycles: float = 1.0, tlb_penalty: float = 0.0,
+                 quadwords: int = 0, delta: int = 0) -> None:
+        self.kind = kind                # 'pump'|'reordered'|'cr'|'empty'
+        self.is_write = is_write
+        self.is_prefetch = is_prefetch
+        self.layout = layout
+        #: total address-generation (+ CR tournament) cycles
+        self.addr_gen_cycles = addr_gen_cycles
+        #: PALcode TLB refill penalty, cycles
+        self.tlb_penalty = tlb_penalty
+        #: data quadwords moved (valid elements)
+        self.quadwords = quadwords
+        self.delta = delta
+
+    @property
+    def slices(self) -> list[Slice]:
+        """A built plan's slices (a replay's are its layout's, offset by
+        ``delta``: the timing path reads the layout directly)."""
+        if self.delta:
+            raise ValueError("replayed plan: use layout and delta")
+        return [] if self.layout is None else self.layout.slices
+
+    @property
+    def touched(self) -> tuple:
+        """Physical quadword addresses touched, in element order."""
+        if self.layout is None:
+            return ()
+        addrs = self.layout.addrs
+        if self.delta:
+            addrs = addrs + np.uint64(self.delta & _M64)
+        return tuple(addrs.tolist())
 
 
-@dataclass
 class _CachedPlan:
     """A reusable strided plan, rebased on hit by ``base - entry.base``.
 
@@ -74,21 +170,28 @@ class _CachedPlan:
     The slice/bank structure of a strided access depends on the base
     only through ``base % BANK_PERIOD`` (which is part of the cache
     key), so a hit at a different base shifts every address by a
-    multiple of the bank period — line splits, bank schedule and
-    full-line-write classification are all preserved.
+    multiple of the bank period.
     """
 
-    kind: str
-    is_write: bool
-    is_prefetch: bool
-    base: int                       # virtual base the entry was built at
-    n_valid: int                    # active elements (vtlb hit replication)
-    addr_gen_cycles: float
-    quadwords: int
-    touched: np.ndarray             # uint64 copy of plan.touched
-    touched_tuple: tuple            # the original tuple (delta == 0 reuse)
-    slices: list                    # template Slice objects at `base`
-    slice_lines: list               # template line_addresses() per slice
+    __slots__ = ("kind", "is_write", "is_prefetch", "base", "n_valid",
+                 "addr_gen_cycles", "quadwords", "layout", "first", "last")
+
+    #: cached plans come from fast-path translations only
+    tlb_penalty = 0.0
+
+    def __init__(self, plan: AccessPlan, base: int, n_valid: int) -> None:
+        self.kind = plan.kind
+        self.is_write = plan.is_write
+        self.is_prefetch = plan.is_prefetch
+        self.base = base                # virtual base the entry was built at
+        self.n_valid = n_valid          # active elements (vtlb hit count)
+        self.addr_gen_cycles = plan.addr_gen_cycles
+        self.quadwords = plan.quadwords
+        self.layout = plan.layout
+        # strided addresses are monotonic: the first and last element
+        # bound the pages a rebased replay touches
+        self.first = int(plan.layout.addrs[0])
+        self.last = int(plan.layout.addrs[-1])
 
 
 class AddressGenerators:
@@ -128,8 +231,7 @@ class AddressGenerators:
 
     # -- the three paths ----------------------------------------------------
 
-    def _plan_pump(self, instr, valid, paddrs, is_write, tlb_penalty,
-                   tag: str) -> AccessPlan:
+    def _plan_pump(self, valid, paddrs, is_write, tag: str):
         addrs = paddrs[valid]
         # addresses ascend (stride-1, valid indices ascending), so a
         # single python walk yields the sorted distinct lines + counts
@@ -159,12 +261,9 @@ class AddressGenerators:
             s._line_addrs = group
             slices.append(s)
         self.counters.add("pump_plans")
-        return AccessPlan("pump", is_write, False, slices,
-                          addr_gen_cycles=float(len(slices)),
-                          tlb_penalty=tlb_penalty, quadwords=len(addrs))
+        return slices, float(len(slices))
 
-    def _plan_reordered(self, instr, state, valid, paddrs, is_write,
-                        tlb_penalty, tag: str) -> AccessPlan:
+    def _plan_reordered(self, state, valid, paddrs, tag: str):
         base = int(paddrs[0])
         stride = state.ctrl.vs
         schedule = conflict_free_schedule(base, stride)
@@ -179,21 +278,16 @@ class AddressGenerators:
                                           quadwords=len(keep), tag=tag))
         self.counters.add("reordered_plans")
         # short vectors still pay the full 8 address-generation cycles
-        return AccessPlan("reordered", is_write, False, slices,
-                          addr_gen_cycles=float(MVL // SLICE_SIZE),
-                          tlb_penalty=tlb_penalty, quadwords=len(valid))
+        return slices, float(MVL // SLICE_SIZE)
 
-    def _plan_cr(self, instr, valid, paddrs, is_write, tlb_penalty,
-                 tag: str) -> AccessPlan:
+    def _plan_cr(self, valid, paddrs, tag: str):
         slices, cr_cycles = self.crbox.pack(valid, paddrs[valid], tag=tag)
         # renumber to keep slice ids unique across both allocators
         for s in slices:
             s.slice_id = self._next_slice_id
             self._next_slice_id += 1
         self.counters.add("cr_plans")
-        return AccessPlan("cr", is_write, False, slices,
-                          addr_gen_cycles=max(cr_cycles, 1.0),
-                          tlb_penalty=tlb_penalty, quadwords=len(valid))
+        return slices, max(cr_cycles, 1.0)
 
     # -- the plan cache ---------------------------------------------------------
 
@@ -215,61 +309,44 @@ class AddressGenerators:
                 state.ctrl.vl, state.ctrl.vs, base % BANK_PERIOD,
                 state.ctrl.vm.tobytes() if instr.masked else None)
 
-    def _replay_plan(self, entry: _CachedPlan, base: int) -> AccessPlan | None:
-        """Rebase a cached plan to ``base``; None if no longer valid.
+    def replayable(self, entry: _CachedPlan, delta: int) -> bool:
+        """Whether ``entry`` rebased by ``delta`` may replay.
 
         Validity is exactly the vtlb fast-path condition the entry was
         built under: every page the rebased access touches must still be
         identity-mapped and resident in every lane.  Anything else (TLB
         shootdown, page-table holes) falls back to the build path.
+        Changes no state or counter; a replayable entry gets its L2
+        lane precomputed (worth it once a plan is actually replayed).
         """
         hot = self.vtlb._hot_identity_vpns
         if not hot:
-            return None
-        delta = base - entry.base
-        if delta == 0:
-            touched_arr = entry.touched
-        else:
-            touched_arr = entry.touched + np.uint64(delta & _M64)
+            return False
         shift = self.vtlb.page_table.page_shift
-        lo_page = int(touched_arr[0]) >> shift
-        hi_page = int(touched_arr[-1]) >> shift
-        if lo_page == hi_page:
-            # strided addresses are monotonic, so first/last bound the
-            # span; one page (512 MB pages!) is the overwhelming case
-            if lo_page not in hot:
-                return None
-        elif not {a >> shift for a in touched_arr.tolist()} <= hot:
-            return None
-        # replicate the counters the build path would have produced
-        # (hit/miss accounting happens in plan(), which knows whether
-        # the entry was seeded)
-        self.counters.add(_KIND_COUNTER[entry.kind])
-        self.vtlb.counters.add("hits", entry.n_valid)
-        if delta == 0:
-            slices = entry.slices
-            touched = entry.touched_tuple
+        lo_page = ((entry.first + delta) & _M64) >> shift
+        if lo_page == ((entry.last + delta) & _M64) >> shift:
+            # one page (512 MB pages!) is the overwhelming case
+            ok = lo_page in hot
         else:
-            du = np.uint64(delta & _M64)
-            slices = []
-            for tmpl, lines in zip(entry.slices, entry.slice_lines):
-                # bypass the dataclass ctor: the template was validated
-                # when built, and rebasing only shifts the addresses
-                s = object.__new__(Slice)
-                s.slice_id = tmpl.slice_id
-                s.elements = tmpl.elements
-                s.addresses = tmpl.addresses + du
-                s.pump = tmpl.pump
-                s.full_line_write = tmpl.full_line_write
-                s.quadwords = tmpl.quadwords
-                s.tag = tmpl.tag
-                s._line_addrs = [line + delta for line in lines]
-                slices.append(s)
-            touched = tuple(touched_arr.tolist())
-        return AccessPlan(entry.kind, entry.is_write, entry.is_prefetch,
-                          slices, addr_gen_cycles=entry.addr_gen_cycles,
-                          tlb_penalty=0.0, quadwords=entry.quadwords,
-                          touched=touched)
+            addrs = entry.layout.addrs + np.uint64(delta & _M64)
+            ok = {a >> shift for a in addrs.tolist()} <= hot
+        if ok and entry.layout.lane is None:
+            entry.layout.make_lane()
+        return ok
+
+    def count_replays(self, replays) -> None:
+        """Add the counters the build path would have produced for each
+        ``(entry, times)`` in ``replays`` (hit/miss accounting is the
+        caller's: it knows whether an entry was seeded)."""
+        kinds: dict[str, int] = {}
+        hits = 0
+        for entry, times in replays:
+            name = _KIND_COUNTER[entry.kind]
+            kinds[name] = kinds.get(name, 0) + times
+            hits += entry.n_valid * times
+        for name, times in kinds.items():
+            self.counters.add(name, times)
+        self.vtlb.counters.add("hits", hits)
 
     def _store_plan(self, key: tuple, plan: AccessPlan, base: int,
                     n_valid: int) -> None:
@@ -277,11 +354,7 @@ class AddressGenerators:
             self._plan_cache.clear()
             self._seeded.clear()
         self._seeded.discard(key)
-        self._plan_cache[key] = _CachedPlan(
-            plan.kind, plan.is_write, plan.is_prefetch, base, n_valid,
-            plan.addr_gen_cycles, plan.quadwords,
-            np.array(plan.touched, dtype=np.uint64), plan.touched,
-            list(plan.slices), [s.line_addresses() for s in plan.slices])
+        self._plan_cache[key] = _CachedPlan(plan, base, n_valid)
 
     # -- entry point ------------------------------------------------------------
 
@@ -296,19 +369,23 @@ class AddressGenerators:
             base = (state.sregs.read(instr.rb) + instr.disp) & _M64
             key = self._plan_key(instr, state, base)
             entry = self._plan_cache.get(key)
-            if entry is not None:
-                plan = self._replay_plan(entry, base)
-                if plan is not None:
-                    if key in self._seeded:
-                        # first use of a cross-run seeded entry: count
-                        # the miss the build path would have produced
-                        self._seeded.discard(key)
-                        self.counters.add("plan_cache_misses")
-                    else:
-                        self.counters.add("plan_cache_hits")
-                    if self.trace is not None:
-                        self.trace.append((instr, plan.touched))
-                    return plan
+            if entry is not None and self.replayable(entry,
+                                                     base - entry.base):
+                self.count_replays(((entry, 1),))
+                if key in self._seeded:
+                    # first use of a cross-run seeded entry: count the
+                    # miss the build path would have produced
+                    self._seeded.discard(key)
+                    self.counters.add("plan_cache_misses")
+                else:
+                    self.counters.add("plan_cache_hits")
+                plan = AccessPlan(entry.kind, entry.is_write,
+                                  entry.is_prefetch, entry.layout,
+                                  entry.addr_gen_cycles, 0.0,
+                                  entry.quadwords, base - entry.base)
+                if self.trace is not None:
+                    self.trace.append((instr, plan.touched))
+                return plan
             self.counters.add("plan_cache_misses")
         valid = self._valid_elements(instr, state)
         is_write = d.is_store
@@ -331,21 +408,24 @@ class AddressGenerators:
 
         tag = instr.tag
         if d.is_indexed:
-            plan = self._plan_cr(instr, valid, paddrs, is_write,
-                                 tlb_penalty, tag)
+            kind = "cr"
+            slices, gen_cycles = self._plan_cr(valid, paddrs, tag)
         elif state.ctrl.vs == 8 and self.pump_enabled:
-            plan = self._plan_pump(instr, valid, paddrs, is_write,
-                                   tlb_penalty, tag)
+            kind = "pump"
+            slices, gen_cycles = self._plan_pump(valid, paddrs, is_write,
+                                                 tag)
         elif is_reorderable(int(vaddrs[0]), state.ctrl.vs):
-            plan = self._plan_reordered(instr, state, valid, paddrs,
-                                        is_write, tlb_penalty, tag)
+            kind = "reordered"
+            slices, gen_cycles = self._plan_reordered(state, valid, paddrs,
+                                                      tag)
         else:
             # self-conflicting stride: run through the CR box like a gather
             self.counters.add("self_conflicting_strides")
-            plan = self._plan_cr(instr, valid, paddrs, is_write,
-                                 tlb_penalty, tag)
-        plan.is_prefetch = instr.is_prefetch
-        plan.touched = tuple(paddrs[valid].tolist())
+            kind = "cr"
+            slices, gen_cycles = self._plan_cr(valid, paddrs, tag)
+        plan = AccessPlan(kind, is_write, instr.is_prefetch,
+                          PlanLayout(slices, paddrs[valid]), gen_cycles,
+                          tlb_penalty, len(valid))
         if key is not None and plan.kind in _KIND_COUNTER \
                 and plan.tlb_penalty == 0.0 and self.vtlb.last_fast_path:
             self._store_plan(key, plan, base, len(valid))

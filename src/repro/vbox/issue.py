@@ -85,15 +85,23 @@ class VboxIssue:
         Returns ``(start, complete)`` where ``complete`` is when the
         last element's result is written (port busy + pipe latency).
         """
-        busy = self.occupancy(vl, timing)
-        t_north = self.north.peek(earliest)
-        t_south = self.south.peek(earliest)
+        start, done, port = self.launch(earliest, self.occupancy(vl, timing),
+                                        self.latency(timing))
+        self.counters.add(f"issue_{port.name}")
+        return start, done
+
+    def launch(self, earliest: float, busy: float, latency: float):
+        """:meth:`issue_arithmetic` with the occupancy and latency given
+        and without its counter; returns ``(start, complete, port)``."""
+        north, south = self.north, self.south
+        # ResourceTimeline.peek, inlined (this runs once per vector op)
+        t_north = max(earliest, north.next_free)
+        t_south = max(earliest, south.next_free)
         if t_north == t_south:
             # break ties by accumulated load so both ports share work
-            port = self.north if self.north.busy_cycles <= \
-                self.south.busy_cycles else self.south
+            port = north if north.busy_cycles <= south.busy_cycles \
+                else south
         else:
-            port = self.north if t_north < t_south else self.south
+            port = north if t_north < t_south else south
         start = port.reserve(earliest, busy)
-        self.counters.add(f"issue_{port.name}")
-        return start, start + busy + self.latency(timing)
+        return start, start + busy + latency, port

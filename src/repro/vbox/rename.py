@@ -57,6 +57,15 @@ class RenameAllocator:
         oldest in-flight writer retires).  The previous mapping frees at
         ``release_time``.
         """
+        start = self.claim(time, release_time)
+        if start > time:
+            self.counters.add("rename_stalls")
+        self.counters.add("allocations")
+        return start
+
+    def claim(self, time: float, release_time: float) -> float:
+        """:meth:`allocate` without its counters (``rename_stalls`` when
+        the result is later than ``time``, and ``allocations``)."""
         self._drain(time)
         start = time
         while self._free == 0:
@@ -65,9 +74,7 @@ class RenameAllocator:
             start = self._releases[0]
             self._drain(start)
         if start > time:
-            self.counters.add("rename_stalls")
             self.stall_cycles += start - time
         self._free -= 1
         heapq.heappush(self._releases, max(release_time, start))
-        self.counters.add("allocations")
         return start

@@ -196,3 +196,61 @@ class TestWarmRange:
         l2 = BankedL2()
         l2.warm_range(0x1000, 0)
         assert l2.tags.lookup(0x1000) is None
+
+
+class TestInstructionLane:
+    """The all-hit lane applies a whole instruction at once; it must
+    leave exactly the state a slice-by-slice walk leaves."""
+
+    @staticmethod
+    def _layout(pump: bool, base: int):
+        import numpy as np
+
+        from repro.isa.instructions import Instruction
+        from repro.isa.registers import ArchState
+        from repro.vbox.address_gen import AddressGenerators
+
+        state = ArchState()
+        state.sregs.write(1, base)
+        state.ctrl.set_vl(128)
+        state.ctrl.set_vs(8)
+        gens = AddressGenerators(pump_enabled=pump)
+        gens.plan(Instruction("vstoreq", va=1, rb=1), state)   # cold TLB
+        plan = gens.plan(Instruction("vstoreq", va=1, rb=1), state)
+        plan.layout.make_lane()
+        assert len(np.unique(np.concatenate(plan.layout.lines))) \
+            < sum(map(len, plan.layout.lines)) or pump
+        return plan.layout
+
+    @pytest.mark.parametrize("pump", [True, False])
+    @pytest.mark.parametrize("pbit_line", [None, 3])
+    def test_lane_equals_slice_walk(self, pump, pbit_line):
+        base = 0x200008                      # misaligned: 17 lines
+        layout = self._layout(pump, base)
+        lane_l2, walk_l2 = (BankedL2(L2Config(), Zbox(RambusConfig()),
+                                     PumpUnit(enabled=pump),
+                                     L1DataCache()) for _ in range(2))
+        for l2 in (lane_l2, walk_l2):
+            l2.warm(_lines(40, start=base - 8 - 64 * 8))
+            l2.slice_port.reserve(30.0, 5.0)   # a busy stretch to skip
+            if pbit_line is not None:    # a line the core touched
+                l2.tags.lookup(base - 8 + 64 * pbit_line).pbit = True
+        done, lane = lane_l2.access_slices(layout, 0, True, 25.0, 1.0)
+        assert lane
+        lane_l2.count_lanes(((layout, True, 1),))
+        walk = max(walk_l2.access_slice(
+            lines, layout.quadwords[i], True, 25.0 + (i + 1) * 1.0,
+            pump_bit=layout.pump[i], full_line_write=layout.full[i],
+            canonical=True) for i, lines in enumerate(layout.lines))
+        assert done == walk
+        assert lane_l2.tags._clock == walk_l2.tags._clock
+        assert (lane_l2.tags._stamp == walk_l2.tags._stamp).all()
+        assert (lane_l2.tags._dirty == walk_l2.tags._dirty).all()
+        assert lane_l2.tags._pbit_set == walk_l2.tags._pbit_set
+        assert lane_l2.slice_port._busy == walk_l2.slice_port._busy
+        for lane_bag, walk_bag in ((lane_l2.counters, walk_l2.counters),
+                                   (lane_l2.tags.counters,
+                                    walk_l2.tags.counters),
+                                   (lane_l2.pump.counters,
+                                    walk_l2.pump.counters)):
+            assert lane_bag.as_dict() == walk_bag.as_dict()

@@ -17,6 +17,16 @@ class TestParser:
                                            else "x.s"])
             assert args.command == cmd
 
+    @pytest.mark.parametrize("cmd", ["report", "table2", "table4", "fig6",
+                                     "fig7", "fig8", "fig9"])
+    def test_jobs_help_states_the_parser_default(self, cmd, capsys):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args([cmd, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        default = parser.parse_args([cmd]).jobs
+        assert f"(0 = all cores; default {default})" in help_text
+
     def test_run_rejects_unknown_kernel(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "bogus"])

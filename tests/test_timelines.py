@@ -1,6 +1,8 @@
 """Resource timeline primitives: in-order, calendar (backfill), ports."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.timeline import (
     CalendarTimeline,
@@ -75,7 +77,21 @@ class TestCalendarTimeline:
         step = 2.0
         for i in range(20000):
             c.reserve(i * step, 1.0)  # half-utilized, never coalesces
-        assert len(c._busy) < 2 * CalendarTimeline.PRUNE_SLACK / step + 4096
+            if i % 64 == 0:
+                c.drop_before(i * step)
+        assert len(c._busy) <= 64
+        assert c.floor == 19968 * step
+
+    def test_drop_keeps_intervals_ending_at_the_bound(self):
+        c = CalendarTimeline()
+        c.reserve(0.0, 2.0)
+        c.reserve(4.0, 2.0)
+        c.drop_before(6.0)
+        # [4, 6) ends exactly at the bound: a request at 6 still merges
+        # with it, so it must stay
+        assert c._busy == [(4.0, 6.0)]
+        assert c.reserve(6.0, 1.0) == 6.0
+        assert c._busy == [(4.0, 7.0)]
 
     def test_randomized_never_overlaps(self, rng):
         c = CalendarTimeline()
@@ -89,6 +105,59 @@ class TestCalendarTimeline:
         intervals.sort()
         for (s0, e0), (s1, e1) in zip(intervals, intervals[1:]):
             assert e0 <= s1 + 1e-9
+
+
+#: one step of a reservation sequence: (bound advance, how far past the
+#: bound the request asks, occupancy, drop the window after it?) — half
+#: cycles, so requests often touch and exactly fill gaps
+_STEP = st.tuples(st.integers(0, 6), st.integers(0, 40), st.integers(0, 8),
+                  st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_STEP, max_size=300))
+def test_window_drop_preserves_every_start(steps):
+    """Requests that never ask before a moving bound get the same start
+    whether or not intervals ending before the bound were dropped."""
+    plain, windowed = CalendarTimeline(), CalendarTimeline()
+    bound = 0.0
+    for advance, ahead, occupancy, drop in steps:
+        bound += advance / 2
+        earliest = bound + ahead / 2
+        assert windowed.reserve(earliest, occupancy / 2) \
+            == plain.reserve(earliest, occupancy / 2)
+        if drop:
+            windowed.drop_before(bound)
+    assert windowed.busy_cycles == plain.busy_cycles
+    kept = [iv for iv in plain._busy if iv[1] >= windowed.floor]
+    assert windowed._busy == kept
+
+
+@pytest.mark.parametrize("config", ["T", "T-nopump"])
+def test_no_reservation_before_the_window_floor(monkeypatch, config):
+    """The processor's window bound holds on every shipped workload: no
+    calendar reservation asks for a time before the last dropped bound."""
+    from repro import jit
+    from repro.harness.runner import run_tarantula
+    from repro.workloads.registry import REGISTRY, get
+
+    monkeypatch.setattr(jit, "_FORCED", True)
+    reserve = CalendarTimeline.reserve
+    early: list = []
+    floors: list = []
+
+    def checked(self, earliest, occupancy):
+        if earliest < self.floor:
+            early.append((self.name, earliest, self.floor))
+        floors.append(self.floor)
+        return reserve(self, earliest, occupancy)
+
+    monkeypatch.setattr(CalendarTimeline, "reserve", checked)
+    for kernel in sorted(REGISTRY):
+        run_tarantula(get(kernel), config, instance=get(kernel).build_small())
+    assert early == []
+    # the check is not vacuous: windows were dropped along the way
+    assert max(floors) > 0.0
 
 
 class TestMultiPortTimeline:

@@ -1,4 +1,4 @@
-"""Vbox issue ports, rename allocator, completion unit, lane structure."""
+"""Vbox issue ports, rename allocator, lane structure."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.isa.instructions import TimingClass
 from repro.vbox.issue import VboxIssue
 from repro.vbox.lanes import LaneConfig, N_LANES, TOTAL_UNITS, lane_of_element
 from repro.vbox.rename import RenameAllocator
-from repro.vbox.vcu import COMPLETION_BUS_WIDTH, CompletionUnit, \
-    RENAME_BUS_WIDTH
 
 
 class TestIssuePorts:
@@ -83,29 +81,6 @@ class TestRenameAllocator:
     def test_rejects_degenerate_pool(self):
         with pytest.raises(ConfigError):
             RenameAllocator(physical=32, architectural=32)
-
-
-class TestCompletionUnit:
-    def test_rename_bus_is_3_wide(self):
-        """Section 3.3: 'a 3-instruction bus carries renamed
-        instructions from the EV8 renaming unit to the Vbox'."""
-        vcu = CompletionUnit()
-        assert RENAME_BUS_WIDTH == 3
-        assert vcu.deliver(0.0, count=3) == 1.0
-        assert vcu.deliver(0.0, count=4) == 3.0  # second group queues
-
-    def test_completion_bus_is_3_wide(self):
-        vcu = CompletionUnit()
-        assert COMPLETION_BUS_WIDTH == 3
-        vcu.complete(0.0, count=6)
-        assert vcu.retired == 6
-
-    def test_counters(self):
-        vcu = CompletionUnit()
-        vcu.deliver(0.0, 5)
-        vcu.complete(0.0, 5)
-        assert vcu.counters["delivered"] == 5
-        assert vcu.counters["completed"] == 5
 
 
 class TestLaneStructure:
